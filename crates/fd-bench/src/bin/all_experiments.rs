@@ -1,5 +1,5 @@
 //! Run every experiment (E1–E8), print all tables, and refresh the
-//! kernel benchmarks (`BENCH_kernel.json`, `BENCH_micro.json`).
+//! kernel benchmark (`BENCH_kernel.json`).
 
 // Counted allocations feed the `allocs_per_event` field of
 // BENCH_kernel.json; one relaxed atomic increment per allocation.
@@ -30,7 +30,4 @@ fn main() {
         bench.field("wall_ns").as_u64().unwrap_or(0) as f64 / 1e9,
         bench.field("events_per_sec").as_f64().unwrap_or(0.0),
     );
-    let micro = fd_bench::micro::micro_bench();
-    write_json("BENCH_micro.json", &micro);
-    println!("micro bench → BENCH_micro.json");
 }

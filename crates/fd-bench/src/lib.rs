@@ -12,7 +12,6 @@
 pub mod campaign;
 pub mod experiments;
 pub mod mc;
-pub mod micro;
 pub mod scale;
 pub mod scenarios;
 pub mod table;

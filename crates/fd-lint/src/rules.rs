@@ -38,7 +38,7 @@ pub const RULES: &[Rule] = &[
         id: "ND002",
         name: "wall-clock",
         severity: Severity::Deny,
-        summary: "wall-clock time (Instant::now/SystemTime) outside fd-obs and fd-runtime",
+        summary: "wall-clock time (Instant::now/SystemTime) outside fd-obs and fd-bench",
     },
     Rule {
         id: "ND003",
@@ -132,10 +132,9 @@ const DET_CRATES: &[&str] = &[
 ];
 
 /// Crates allowed to read the wall clock: the observability layer owns
-/// it, the real-time runtime bridges simulated time to it by design, and
-/// the benchmark harness exists to measure it (all three are outside the
-/// byte-identical-replay boundary).
-const WALL_CLOCK_EXEMPT: &[&str] = &["fd-obs", "fd-runtime", "fd-bench"];
+/// it and the benchmark harness exists to measure it (both are outside
+/// the byte-identical-replay boundary).
+const WALL_CLOCK_EXEMPT: &[&str] = &["fd-obs", "fd-bench"];
 
 /// Files whose `unsafe` is double-anchored by a scoped
 /// `#[allow(unsafe_code)]` under a crate-level `#![deny(unsafe_code)]`.
@@ -374,7 +373,7 @@ fn nd001(ctx: &FileCtx<'_>, rule: &'static Rule, out: &mut Vec<Finding>) {
     }
 }
 
-/// ND002 — wall-clock reads outside fd-obs / fd-runtime.
+/// ND002 — wall-clock reads outside fd-obs / fd-bench.
 fn nd002(ctx: &FileCtx<'_>, rule: &'static Rule, out: &mut Vec<Finding>) {
     if WALL_CLOCK_EXEMPT.contains(&ctx.crate_name) {
         return;

@@ -64,10 +64,10 @@ impl TimerId {
 
 /// An action queued by an actor callback.
 ///
-/// The simulation kernel applies these itself; alternate executors (the
-/// threaded runtime in `fd-runtime`) construct a [`Context`] via
-/// [`Context::for_executor`], run a callback, and interpret the drained
-/// actions against their own transport and clock.
+/// The simulation kernel applies these itself; code that drives an actor
+/// outside a world (protocol unit tests, say) constructs a [`Context`]
+/// via [`Context::for_executor`], runs a callback, and interprets the
+/// drained actions itself.
 #[derive(Debug)]
 pub enum Action<M> {
     /// Send `msg` to `to`.
@@ -155,8 +155,8 @@ pub struct Context<'a, M> {
 }
 
 impl<'a, M> Context<'a, M> {
-    /// Build a context for an alternate executor (e.g. the threaded
-    /// runtime). The executor owns the `actions` buffer and interprets
+    /// Build a context for code that runs actor callbacks outside a
+    /// [`World`](crate::world::World). The executor owns the `actions` buffer and interprets
     /// its contents after the callback returns; `next_timer_id` must be
     /// monotonically maintained across calls so [`TimerId`]s stay unique.
     pub fn for_executor(

@@ -21,6 +21,7 @@ use crate::actor::{TimerId, TimerTag};
 use crate::process::ProcessId;
 use crate::time::Time;
 use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 
@@ -153,7 +154,7 @@ fn bucket_of(at: Time) -> u64 {
 
 /// The timer-wheel implementation.
 ///
-/// Ordering invariants (what makes pops come out in exact `(at, seq)`
+/// Ordering invariants (what makes drains come out in exact `(at, seq)`
 /// order, matching the classic heap event for event):
 ///
 /// * `current` holds the active span sorted ascending by `(at, seq)`;
@@ -161,7 +162,7 @@ fn bucket_of(at: Time) -> u64 {
 ///   the active span go into the `inserts` min-heap instead of being
 ///   spliced into `current` — a large-n broadcast scheduling thousands
 ///   of same-span deliveries would otherwise pay O(span) per push via
-///   `Vec::insert`. Pops merge the two sorted sources by `(at, seq)`.
+///   `Vec::insert`. Drains merge the two sorted sources by `(at, seq)`.
 ///   The kernel never schedules into the past, so inserted keys are
 ///   always at or after the consumption point.
 /// * `buckets[b & MASK]` holds the events of absolute bucket `b` for
@@ -210,7 +211,7 @@ impl<M> TimerWheel<M> {
         let b = bucket_of(at);
         if b <= self.cur_bucket {
             // Into (or before) the active span: heap-ordered side table,
-            // merged against `current` at pop time. O(log inserts) beats
+            // merged against `current` at drain time. O(log inserts) beats
             // the old O(span) `Vec::insert` when a broadcast lands
             // thousands of deliveries in the active span.
             self.inserts.push(ev);
@@ -222,16 +223,6 @@ impl<M> TimerWheel<M> {
             self.occupied[slot >> 6] |= 1u64 << (slot & 63);
         } else {
             self.overflow.push(ev);
-        }
-    }
-
-    /// Whether the next event comes from `inserts` rather than `current`.
-    /// Caller guarantees at least one of the two is non-empty.
-    fn next_is_insert(&self) -> bool {
-        match (self.current.get(self.cur_head), self.inserts.peek()) {
-            (Some(c), Some(i)) => (i.at, i.seq) < (c.at, c.seq),
-            (Some(_), None) => false,
-            (None, _) => true,
         }
     }
 
@@ -252,78 +243,44 @@ impl<M> TimerWheel<M> {
         ev
     }
 
-    // fd-lint: hot_path
-    fn pop(&mut self) -> Option<QueuedEvent<M>> {
-        if !self.ensure_current() {
-            return None;
-        }
-        self.len -= 1;
-        if self.next_is_insert() {
-            let ev = self
-                .inserts
-                .pop()
-                // fd-lint: allow(UH002, HP001, reason = "next_is_insert returned true, so the inserts heap is non-empty")
-                .expect("next_is_insert implies non-empty");
-            return Some(ev);
-        }
-        Some(self.take_current_head())
-    }
-
     /// Drain every event due at the earliest pending timestamp into
     /// `out`, provided that timestamp is at or before `bound`. Returns
     /// the number of events appended. One span/heap resolution serves
-    /// the whole same-instant batch — the kernel's per-timestamp
-    /// processing loop calls this instead of `pop_due` per event.
+    /// the whole same-instant batch; `current` and `inserts` are merged
+    /// by `seq` (every event drained here shares the one timestamp).
     fn pop_due_batch(&mut self, bound: Time, out: &mut Vec<QueuedEvent<M>>) -> usize {
         if !self.ensure_current() {
             return 0;
         }
-        let t = match (self.current.get(self.cur_head), self.inserts.peek()) {
-            (Some(c), Some(i)) => c.at.min(i.at),
-            (Some(c), None) => c.at,
-            (None, Some(i)) => i.at,
-            (None, None) => unreachable!("ensure_current returned true"),
+        let cur = self.current.get(self.cur_head).map(|e| e.at);
+        let ins = self.inserts.peek().map(|e| e.at);
+        let t = match (cur, ins) {
+            (Some(c), Some(i)) => c.min(i),
+            (Some(t), None) | (None, Some(t)) => t,
+            (None, None) => return 0,
         };
         if t > bound {
             return 0;
         }
         let start = out.len();
         loop {
-            let cur_due = self.current.get(self.cur_head).is_some_and(|e| e.at == t);
-            let ins_due = self.inserts.peek().is_some_and(|e| e.at == t);
-            let ev = match (cur_due, ins_due) {
-                (true, false) => self.take_current_head(),
-                (false, true) => {
-                    // fd-lint: allow(UH002, reason = "ins_due peeked a non-empty heap")
-                    self.inserts.pop().expect("ins_due implies non-empty")
-                }
-                (true, true) => {
-                    if self.next_is_insert() {
-                        // fd-lint: allow(UH002, reason = "ins_due peeked a non-empty heap")
-                        self.inserts.pop().expect("ins_due implies non-empty")
-                    } else {
-                        self.take_current_head()
-                    }
-                }
-                (false, false) => break,
+            let due = |e: &QueuedEvent<M>| (e.at == t).then_some(e.seq);
+            let cur_seq = self.current.get(self.cur_head).and_then(due);
+            let ins_seq = self.inserts.peek().and_then(due);
+            let from_inserts = match (cur_seq, ins_seq) {
+                (None, None) => break,
+                (Some(c), Some(i)) => i < c,
+                (_, i) => i.is_some(),
             };
-            out.push(ev);
+            if !from_inserts {
+                out.push(self.take_current_head());
+            } else if let Some(ev) = self.inserts.pop() {
+                out.push(ev);
+            }
         }
         let drained = out.len() - start;
         self.len -= drained;
         drained
-    }
-
-    fn peek_time(&mut self) -> Option<Time> {
-        if !self.ensure_current() {
-            return None;
-        }
-        let cur = self.current.get(self.cur_head).map(|e| e.at);
-        let ins = self.inserts.peek().map(|e| e.at);
-        match (cur, ins) {
-            (Some(c), Some(i)) => Some(c.min(i)),
-            (c, i) => c.or(i),
-        }
     }
 
     /// Advance spans until the active one is non-empty. Returns `false`
@@ -456,24 +413,6 @@ impl<M> EventQueue<M> {
         }
     }
 
-    /// Remove and return the earliest event, FIFO among ties.
-    // fd-lint: hot_path
-    pub fn pop(&mut self) -> Option<QueuedEvent<M>> {
-        match self {
-            EventQueue::Wheel(w) => w.pop(),
-            EventQueue::Classic { heap, .. } => heap.pop(),
-        }
-    }
-
-    /// The time of the next event without removing it. Takes `&mut self`
-    /// because the wheel advances to the next occupied span to answer.
-    pub fn peek_time(&mut self) -> Option<Time> {
-        match self {
-            EventQueue::Wheel(w) => w.peek_time(),
-            EventQueue::Classic { heap, .. } => heap.peek().map(|e| e.at),
-        }
-    }
-
     /// Events currently scheduled.
     pub fn len(&self) -> usize {
         match self {
@@ -482,44 +421,26 @@ impl<M> EventQueue<M> {
         }
     }
 
-    /// Whether no events are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Pop the earliest event only if it is due at or before `bound`.
-    /// The peek-then-pop pair lives here so callers never need a
-    /// "peeked therefore non-empty" unwrap.
-    pub fn pop_due(&mut self, bound: Time) -> Option<QueuedEvent<M>> {
-        match self.peek_time() {
-            Some(t) if t <= bound => self.pop(),
-            _ => None,
-        }
-    }
-
     /// Drain every event due at the earliest pending timestamp (if that
-    /// timestamp is at or before `bound`) into `out`, preserving strict
-    /// `(at, seq)` order. Returns the number of events appended — 0 means
-    /// nothing is due. The kernel's `run_until_time` loop uses this to
-    /// amortize queue bookkeeping over a whole same-instant batch: at
-    /// large n a single broadcast makes thousands of deliveries share one
-    /// timestamp.
+    /// timestamp is at or before `bound`) onto the end of `out`,
+    /// preserving strict `(at, seq)` order. Returns the number of events
+    /// appended — 0 means nothing is due. This is the queue's only way
+    /// out: the kernel loop amortizes queue bookkeeping over a whole
+    /// same-instant batch (at large n a single broadcast makes thousands
+    /// of deliveries share one timestamp).
     pub fn pop_due_batch(&mut self, bound: Time, out: &mut Vec<QueuedEvent<M>>) -> usize {
         match self {
             EventQueue::Wheel(w) => w.pop_due_batch(bound, out),
             EventQueue::Classic { heap, .. } => {
-                let Some(first) = heap.peek() else { return 0 };
-                if first.at > bound {
+                let Some(t) = heap.peek().map(|e| e.at).filter(|&t| t <= bound) else {
                     return 0;
-                }
-                let t = first.at;
+                };
                 let start = out.len();
-                while let Some(e) = heap.peek() {
-                    if e.at != t {
+                while let Some(top) = heap.peek_mut() {
+                    if top.at != t {
                         break;
                     }
-                    // fd-lint: allow(UH002, reason = "peek just returned Some on the same heap")
-                    out.push(heap.pop().expect("peeked non-empty"));
+                    out.push(PeekMut::pop(top));
                 }
                 out.len() - start
             }
@@ -556,23 +477,33 @@ mod tests {
         ]
     }
 
+    /// Drain the earliest instant due at or before `bound`, as
+    /// `(at, seq)` keys.
+    fn pop_batch(q: &mut EventQueue<()>, bound: Time) -> Vec<(Time, u64)> {
+        let mut out = Vec::new();
+        q.pop_due_batch(bound, &mut out);
+        out.iter().map(|e| (e.at, e.seq)).collect()
+    }
+
+    /// Drain the whole queue, one same-instant batch at a time.
     fn drain_pids(q: &mut EventQueue<()>) -> Vec<(Time, usize)> {
-        std::iter::from_fn(|| {
-            q.pop().map(|e| match e.kind {
+        let mut out = Vec::new();
+        while q.pop_due_batch(Time(u64::MAX), &mut out) > 0 {}
+        out.into_iter()
+            .map(|e| match e.kind {
                 EventKind::Crash { pid } => (e.at, pid.index()),
                 _ => unreachable!(),
             })
-        })
-        .collect()
+            .collect()
     }
 
     #[test]
-    fn pops_in_time_order() {
+    fn drains_in_time_order() {
         for mut q in both() {
             q.push(Time(30), crash(0));
             q.push(Time(10), crash(1));
             q.push(Time(20), crash(2));
-            let order: Vec<Time> = std::iter::from_fn(|| q.pop().map(|e| e.at)).collect();
+            let order: Vec<Time> = drain_pids(&mut q).into_iter().map(|(at, _)| at).collect();
             assert_eq!(order, vec![Time(10), Time(20), Time(30)]);
         }
     }
@@ -588,30 +519,32 @@ mod tests {
         }
     }
 
+    /// Each drain takes exactly one instant, and nothing past `bound`.
     #[test]
-    fn peek_matches_pop() {
+    fn each_batch_is_one_instant() {
         for mut q in both() {
-            assert_eq!(q.peek_time(), None);
+            assert!(pop_batch(&mut q, Time(u64::MAX)).is_empty());
             q.push(Time(5), crash(0));
             q.push(Time(3), crash(1));
-            assert_eq!(q.peek_time(), Some(Time(3)));
+            q.push(Time(5), crash(2));
+            assert!(pop_batch(&mut q, Time(2)).is_empty());
+            assert_eq!(q.len(), 3);
+            assert_eq!(pop_batch(&mut q, Time(5)), vec![(Time(3), 1)]);
             assert_eq!(q.len(), 2);
-            q.pop();
-            assert_eq!(q.peek_time(), Some(Time(5)));
-            q.pop();
-            assert!(q.is_empty());
+            assert_eq!(pop_batch(&mut q, Time(5)), vec![(Time(5), 0), (Time(5), 2)]);
+            assert_eq!(q.len(), 0);
         }
     }
 
-    /// Interleaved push/pop with ties at span boundaries, across the
-    /// wheel/overflow horizon: the wheel must agree with the classic
-    /// heap event for event.
+    /// Interleaved pushes and drains with ties at span boundaries, across
+    /// the wheel/overflow horizon: the wheel must agree with the classic
+    /// heap batch for batch.
     #[test]
-    fn interleaved_push_pop_matches_classic() {
+    fn interleaved_push_drain_matches_classic() {
         let horizon = (BUCKET_COUNT as u64) << BUCKET_SHIFT;
         // A deterministic but irregular schedule touching every regime:
         // same-tick ties, same-span inserts, far-future overflow events,
-        // and pops interleaved with pushes.
+        // and drains interleaved with pushes.
         let mut wheel = EventQueue::with_impl(QueueImpl::Wheel);
         let mut classic = EventQueue::with_impl(QueueImpl::Classic);
         let mut pid = 0usize;
@@ -623,8 +556,7 @@ mod tests {
             x
         };
         let mut now = 0u64;
-        let mut log_wheel = Vec::new();
-        let mut log_classic = Vec::new();
+        let mut drained = 0usize;
         for round in 0..2000 {
             let r = nextx();
             let burst = (r % 4) as usize;
@@ -640,34 +572,24 @@ mod tests {
                 pid += 1;
             }
             if round % 3 != 0 {
-                let a = wheel.pop();
-                let b = classic.pop();
-                match (a, b) {
-                    (Some(ea), Some(eb)) => {
-                        assert_eq!((ea.at, ea.seq), (eb.at, eb.seq), "round {round}");
-                        now = ea.at.0;
-                        log_wheel.push((ea.at, ea.seq));
-                        log_classic.push((eb.at, eb.seq));
-                    }
-                    (None, None) => {}
-                    other => panic!("one queue empty, the other not: {other:?}"),
+                let a = pop_batch(&mut wheel, Time(u64::MAX));
+                let b = pop_batch(&mut classic, Time(u64::MAX));
+                assert_eq!(a, b, "round {round}");
+                if let Some(&(at, _)) = a.first() {
+                    now = at.0;
                 }
+                drained += a.len();
             }
             assert_eq!(wheel.len(), classic.len(), "round {round}");
         }
+        assert!(drained > 0);
         // Drain the rest.
-        loop {
-            match (wheel.pop(), classic.pop()) {
-                (Some(ea), Some(eb)) => assert_eq!((ea.at, ea.seq), (eb.at, eb.seq)),
-                (None, None) => break,
-                other => panic!("length mismatch at drain: {other:?}"),
-            }
-        }
-        assert_eq!(log_wheel, log_classic);
+        assert_eq!(drain_pids(&mut wheel), drain_pids(&mut classic));
+        assert_eq!((wheel.len(), classic.len()), (0, 0));
     }
 
     /// Seq tie-breaks survive crossing the wheel/overflow boundary: two
-    /// events at the same far-future tick, pushed in order, must pop in
+    /// events at the same far-future tick, pushed in order, must drain in
     /// order after migrating from the overflow heap into the wheel.
     #[test]
     fn overflow_migration_preserves_seq_ties() {
@@ -693,10 +615,8 @@ mod tests {
         for mut q in both() {
             q.push(Time(10), crash(0));
             q.push(Time(30), crash(1));
-            assert_eq!(q.peek_time(), Some(Time(10)));
-            let first = q.pop().unwrap();
-            assert_eq!(first.at, Time(10));
-            // Now push between the popped event and the pending one,
+            assert_eq!(pop_batch(&mut q, Time(10)), vec![(Time(10), 0)]);
+            // Now push between the drained event and the pending one,
             // plus a tie with the pending one (must lose by seq).
             q.push(Time(20), crash(2));
             q.push(Time(30), crash(3));
@@ -710,10 +630,10 @@ mod tests {
         for mut q in both() {
             q.push(Time(5), crash(0));
             q.push(Time(900_000_000), crash(1)); // deep overflow
-            q.pop();
+            pop_batch(&mut q, Time(5));
             q.reset();
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
+            assert_eq!(q.len(), 0);
+            assert!(pop_batch(&mut q, Time(u64::MAX)).is_empty());
             // Ties after reset break exactly as in a fresh queue.
             q.push(Time(7), crash(10));
             q.push(Time(7), crash(11));
@@ -724,7 +644,7 @@ mod tests {
 
     /// Events landing at exactly the horizon boundary (`now + 256×1024`
     /// ticks) must overflow, events one tick inside must bucket, and the
-    /// three groups must still pop in strict `(at, seq)` order. This is
+    /// three groups must still drain in strict `(at, seq)` order. This is
     /// the off-by-one regime a `<` vs `<=` slip in `push` would corrupt.
     #[test]
     fn horizon_boundary_is_exact() {
@@ -761,7 +681,7 @@ mod tests {
         let mut classic = EventQueue::with_impl(QueueImpl::Classic);
         for q in [&mut wheel, &mut classic] {
             q.push(Time(5), crash(9999));
-            q.pop(); // activate span 0
+            pop_batch(q, Time(5)); // activate span 0
             for i in 0..4096 {
                 q.push(Time(7), crash(i)); // same-span burst (the old O(span) path)
             }
@@ -781,20 +701,23 @@ mod tests {
 
     /// `pop_due_batch` drains exactly the earliest timestamp's events, in
     /// seq order, and agrees between the two implementations — including
-    /// when the batch is split across `current` and `inserts`.
+    /// when the batch is split across the wheel's sorted active span and
+    /// its `inserts` heap.
     #[test]
-    fn pop_due_batch_matches_pop_due() {
+    fn pop_due_batch_merges_current_and_inserts() {
         for mut q in both() {
-            q.push(Time(10), crash(0));
-            q.push(Time(10), crash(1));
-            q.push(Time(20), crash(2));
-            // Activate the span, then land more ties at t=10 (these go
-            // through the wheel's insert path).
-            q.pop(); // (10, 0)
-            q.push(Time(10), crash(3));
-            q.push(Time(10), crash(4));
+            // Bucket 1 (ticks 1024..2048): sorted into `current` when the
+            // span activates.
+            q.push(Time(1500), crash(0));
+            q.push(Time(1500), crash(1));
+            q.push(Time(1800), crash(2));
+            // Nothing due by t=1000, but the wheel activates bucket 1.
+            assert!(pop_batch(&mut q, Time(1000)).is_empty());
+            // More ties at t=1500 now go through the insert path.
+            q.push(Time(1500), crash(3));
+            q.push(Time(1500), crash(4));
             let mut out = Vec::new();
-            assert_eq!(q.pop_due_batch(Time(15), &mut out), 3);
+            assert_eq!(q.pop_due_batch(Time(1600), &mut out), 4);
             let pids: Vec<usize> = out
                 .iter()
                 .map(|e| match e.kind {
@@ -802,19 +725,19 @@ mod tests {
                     _ => unreachable!(),
                 })
                 .collect();
-            assert_eq!(pids, vec![1, 3, 4]);
-            // t=20 is beyond the bound: nothing more drains.
+            assert_eq!(pids, vec![0, 1, 3, 4]);
+            // t=1800 is beyond the bound: nothing more drains.
             out.clear();
-            assert_eq!(q.pop_due_batch(Time(15), &mut out), 0);
+            assert_eq!(q.pop_due_batch(Time(1600), &mut out), 0);
             assert_eq!(q.len(), 1);
-            assert_eq!(q.pop_due_batch(Time(20), &mut out), 1);
-            assert!(q.is_empty());
+            assert_eq!(q.pop_due_batch(Time(1800), &mut out), 1);
+            assert_eq!(q.len(), 0);
         }
     }
 
     /// A randomized cross-check: a long interleaved schedule drained
-    /// entirely through `pop_due_batch` must equal the classic heap's
-    /// event order.
+    /// entirely through bounded `pop_due_batch` calls must equal the
+    /// classic heap's event order.
     #[test]
     fn batch_drain_matches_classic_order() {
         let horizon = (BUCKET_COUNT as u64) << BUCKET_SHIFT;
@@ -842,16 +765,12 @@ mod tests {
                 classic.push(at, crash(pid));
                 pid += 1;
             }
-            let mut wa = Vec::new();
-            let mut ca = Vec::new();
             let bound = Time(now + nextx() % 4096);
-            wheel.pop_due_batch(bound, &mut wa);
-            classic.pop_due_batch(bound, &mut ca);
-            let keys =
-                |v: &Vec<QueuedEvent<()>>| v.iter().map(|e| (e.at, e.seq)).collect::<Vec<_>>();
-            assert_eq!(keys(&wa), keys(&ca));
-            if let Some(e) = wa.last() {
-                now = e.at.0;
+            let wa = pop_batch(&mut wheel, bound);
+            let ca = pop_batch(&mut classic, bound);
+            assert_eq!(wa, ca);
+            if let Some(&(at, _)) = wa.last() {
+                now = at.0;
             } else {
                 now += 1024;
             }
@@ -865,11 +784,11 @@ mod tests {
     fn reset_clears_active_span_inserts() {
         let mut q = EventQueue::with_impl(QueueImpl::Wheel);
         q.push(Time(5), crash(0));
-        q.pop(); // span 0 active
+        pop_batch(&mut q, Time(5)); // span 0 active
         q.push(Time(6), crash(1)); // goes to the inserts heap
         q.reset();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.len(), 0);
+        assert!(pop_batch(&mut q, Time(u64::MAX)).is_empty());
         q.push(Time(7), crash(2));
         let order = drain_pids(&mut q);
         assert_eq!(order, vec![(Time(7), 2)]);

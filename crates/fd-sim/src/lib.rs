@@ -50,7 +50,6 @@
 #![forbid(unsafe_code)]
 
 pub mod actor;
-pub mod bench;
 pub mod chaos;
 pub mod event;
 pub mod link;

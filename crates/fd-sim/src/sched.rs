@@ -7,9 +7,9 @@
 //! world runs under [`World::run_scheduled_until`], every same-instant
 //! batch becomes a sequence of *choice points* where the scheduler picks
 //! which enabled event fires next, or forces a message loss. The
-//! [`CanonicalScheduler`] always picks the lowest sequence number, which
-//! reproduces `run_until_time` byte for byte — the regression anchor
-//! that lets `fd-mc` treat the default schedule as branch zero.
+//! [`CanonicalScheduler`] always picks the lowest sequence number; it is
+//! what `run_until_time` runs, which lets `fd-mc` treat the default
+//! schedule as branch zero.
 //!
 //! [`World::run_scheduled_until`]: crate::world::World::run_scheduled_until
 //! [`World`]: crate::world::World
@@ -132,20 +132,36 @@ pub enum SchedChoice {
 pub trait Scheduler {
     /// Pick what happens next at `cp`.
     fn choose(&mut self, cp: &ChoicePoint<'_>) -> SchedChoice;
+
+    /// Whether this scheduler always picks `SchedChoice::Event(0)` and
+    /// needs no [`ChoicePoint`] to do so. The kernel asks once per run
+    /// call; `true` lets it walk each instant in `(time, seq)` order
+    /// without building choice points or event summaries, which is how
+    /// [`CanonicalScheduler`] runs at full kernel speed. Only
+    /// `CanonicalScheduler` overrides it: a scheduler that implements
+    /// just [`choose`](Scheduler::choose) — a proxy wrapping another
+    /// scheduler, say — is consulted at every choice point.
+    fn is_canonical(&self) -> bool {
+        false
+    }
 }
 
 /// The identity scheduler: always fire the lowest-seq enabled event.
 ///
-/// A run driven by this scheduler is byte-identical (same trace digest,
-/// same metrics) to the same world run through
-/// [`run_until_time`](crate::world::World::run_until_time) — asserted
-/// by regression tests here and in `fd-mc`.
+/// [`run_until_time`](crate::world::World::run_until_time) is the kernel
+/// loop driven by this scheduler, so a scheduled canonical run is the
+/// same run by construction — regression tests here and in `fd-mc`
+/// still pin the trace digests.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct CanonicalScheduler;
 
 impl Scheduler for CanonicalScheduler {
     fn choose(&mut self, _cp: &ChoicePoint<'_>) -> SchedChoice {
         SchedChoice::Event(0)
+    }
+
+    fn is_canonical(&self) -> bool {
+        true
     }
 }
 

@@ -15,7 +15,9 @@ use crate::link::LinkMangler;
 use crate::metrics::{FxBuildHasher, Metrics};
 use crate::process::ProcessId;
 use crate::rng::{derive_network_rng, derive_process_rng};
-use crate::sched::{ChoicePoint, EnabledEvent, EnabledKind, SchedChoice, Scheduler};
+use crate::sched::{
+    CanonicalScheduler, ChoicePoint, EnabledEvent, EnabledKind, SchedChoice, Scheduler,
+};
 use crate::time::Time;
 use crate::topology::NetworkConfig;
 use crate::trace::{DropReason, Fnv, Payload, Trace, TraceKind};
@@ -60,8 +62,9 @@ pub struct WorldObs {
     /// counter. Flushed on drop (a world's runs end before its metrics
     /// are read), keeping the per-event cost free of atomics.
     pending_events: std::cell::Cell<u64>,
-    /// `sim.queue_depth_hwm`: high-water mark of the event queue depth,
-    /// sampled at every pop (including the popped event).
+    /// `sim.queue_depth_hwm`: high-water mark of the pending-event count
+    /// (queued plus the unprocessed rest of the current instant's batch),
+    /// sampled at every processed event (including that event).
     queue_depth_hwm: Arc<fd_obs::Gauge>,
     /// `sim.callback_ns`: wall-clock nanoseconds per actor callback
     /// (`on_start` / `on_message` / `on_timer` / `interact`), including
@@ -230,7 +233,7 @@ impl WorldBuilder {
     /// message at enqueue and dequeue time, which only the model
     /// checker's visited-set pruning can justify. Sound only over
     /// RNG-free networks ([`NetworkConfig::is_rng_free`]) with no
-    /// mangler installed; [`World::run_scheduled_until`] asserts this.
+    /// mangler installed; every run entry point asserts this.
     pub fn track_state(mut self, on: bool) -> Self {
         self.track_state = on;
         self
@@ -324,12 +327,15 @@ pub struct World<A: Actor> {
     obs: Option<WorldObs>,
     started: bool,
     scratch: Vec<Action<A::Msg>>,
-    /// Same-instant event batch drained from the queue by
-    /// [`run_until_time`](World::run_until_time); reused across batches.
+    /// The current instant's drained-but-unprocessed events, in `(time,
+    /// seq)` order; reused across instants. They are pending exactly
+    /// like queued events: the state digest counts them, and a
+    /// `run_until` predicate that fires partway through an instant leaves
+    /// the rest here for the next run call.
     batch: Vec<QueuedEvent<A::Msg>>,
-    /// Events of the current batch not yet processed — added to the
-    /// queue length so the `sim.queue_depth_hwm` gauge stays honest
-    /// while a batch is in flight.
+    /// Events of the current instant still waiting behind the one being
+    /// processed — added to the queue length so the
+    /// `sim.queue_depth_hwm` gauge counts them.
     batch_pending: u64,
     /// Largest trace length seen across resets — the reserve hint that
     /// turns per-seed trace growth into one up-front arena allocation.
@@ -695,7 +701,7 @@ impl<A: Actor> World<A> {
         self.now = ev.at;
         self.metrics.record_event();
         if let Some(obs) = &self.obs {
-            // Depth at pop time, counting the event being processed.
+            // Pending depth, counting the event being processed.
             obs.record_event(self.queue.len() as u64 + 1 + self.batch_pending);
         }
         // fd-lint: allow(HP001, reason = "the event-budget tripwire exists to panic: a zero-delay loop must halt the run, not spin")
@@ -820,73 +826,183 @@ impl<A: Actor> World<A> {
         }
     }
 
-    /// Process a single event. Returns its time, or `None` if the queue
-    /// was empty.
-    // fd-lint: hot_path
-    pub fn step(&mut self) -> Option<Time> {
-        self.ensure_started();
-        let ev = self.queue.pop()?;
-        self.process(ev);
-        Some(self.now)
-    }
-
     /// Run every event scheduled at or before `until`, then advance the
-    /// clock to `until`.
-    ///
-    /// Events are drained one *timestamp* at a time: everything due at
-    /// the earliest pending instant comes out of the queue in a single
-    /// batch, then is processed in `(time, seq)` order. This is safe —
-    /// anything an event at time `t` schedules for time `t` gets a
-    /// sequence number above every queued `t`-event, so it lands in the
-    /// next batch in exactly the order a one-at-a-time loop would see —
-    /// and it amortizes queue bookkeeping over whole broadcast fan-ins,
-    /// which at large n share one delivery instant thousands of ways.
+    /// clock to `until`, firing same-instant events in canonical
+    /// `(time, seq)` order.
     pub fn run_until_time(&mut self, until: Time) {
-        self.ensure_started();
-        let mut batch = std::mem::take(&mut self.batch);
-        loop {
-            let drained = self.queue.pop_due_batch(until, &mut batch);
-            if drained == 0 {
-                break;
-            }
-            for (i, ev) in batch.drain(..).enumerate() {
-                self.batch_pending = (drained - 1 - i) as u64;
-                self.process(ev);
-            }
-        }
-        self.batch_pending = 0;
-        self.batch = batch;
-        self.now = self.now.max(until);
+        self.run_loop(until, &mut CanonicalScheduler, |_| false);
     }
 
     /// Run until `pred(self)` holds (checked before the first event and
     /// after every event) or the clock would pass `deadline`. Returns
-    /// `true` iff the predicate was met.
-    pub fn run_until(&mut self, deadline: Time, mut pred: impl FnMut(&Self) -> bool) -> bool {
+    /// `true` iff the predicate was met; the clock then stays at the
+    /// event that met it, and any later events of that instant stay
+    /// pending for the next run call.
+    pub fn run_until(&mut self, deadline: Time, pred: impl FnMut(&Self) -> bool) -> bool {
+        self.run_loop(deadline, &mut CanonicalScheduler, pred)
+    }
+
+    /// Run every event scheduled at or before `until` under an explicit
+    /// [`Scheduler`], then advance the clock to `until`.
+    ///
+    /// Every event due at the current instant is *enabled*, and at each
+    /// step the scheduler picks which fires next, or force-drops a
+    /// delivery (see [`ChoicePoint`]). Driving this with
+    /// [`CanonicalScheduler`] is [`run_until_time`](World::run_until_time).
+    pub fn run_scheduled_until<S: Scheduler + ?Sized>(&mut self, until: Time, sched: &mut S) {
+        self.run_loop(until, sched, |_| false);
+    }
+
+    /// The one kernel loop behind every run entry point: fire events due
+    /// at or before `until`, in the order `sched` picks, until
+    /// `stop_when(self)` holds (checked before the first event and after
+    /// every one) or nothing is due. Returns whether `stop_when` fired.
+    /// On a normal exit the clock advances to `until`; on a stop it stays
+    /// at the last event, and the rest of that instant waits in `batch`.
+    ///
+    /// Events leave the queue one *timestamp* at a time: everything due
+    /// at the earliest pending instant is drained into `batch` at once.
+    /// This is safe — anything an event at time `t` schedules for time
+    /// `t` gets a sequence number above every queued `t`-event, so it
+    /// lands after the batch in exactly the order a one-at-a-time loop
+    /// would see — and it amortizes queue bookkeeping over whole
+    /// broadcast fan-ins, which at large n share one delivery instant
+    /// thousands of ways.
+    ///
+    /// A canonical scheduler ([`Scheduler::is_canonical`]) walks `batch`
+    /// front to back: no choice points, no event summaries, no `choose`
+    /// calls. Any other scheduler gets a choice point per step.
+    // fd-lint: hot_path
+    fn run_loop<S, P>(&mut self, until: Time, sched: &mut S, mut stop_when: P) -> bool
+    where
+        S: Scheduler + ?Sized,
+        P: FnMut(&Self) -> bool,
+    {
+        if self.track_state {
+            // fd-lint: allow(HP001, reason = "configuration tripwire, checked once per run call: a tracked world over a random network would produce schedule-dependent digests")
+            assert!(
+                self.net.is_rng_free() && self.mangler.is_none(),
+                "state tracking requires an RNG-free network and no mangler: \
+                 shared-stream draws make state hashes schedule-dependent"
+            );
+        }
         self.ensure_started();
-        if pred(self) {
+        if stop_when(self) {
             return true;
         }
-        while let Some(ev) = self.queue.pop_due(deadline) {
-            self.process(ev);
-            if pred(self) {
-                return true;
-            }
+        // The rest of an instant a previous call stopped in is due now;
+        // it waits if this call's horizon is earlier still.
+        if self.batch.first().is_some_and(|e| e.at > until) {
+            return false;
         }
-        self.now = self.now.max(deadline);
+        let canonical = sched.is_canonical();
+        // Summaries of `batch`'s head, index for index (choice points only).
+        let mut enabled: Vec<EnabledEvent> = Vec::new();
+        loop {
+            if self.batch.is_empty() && self.queue.pop_due_batch(until, &mut self.batch) == 0 {
+                break;
+            }
+            if !canonical {
+                self.choice_point(sched, &mut enabled);
+                if stop_when(self) {
+                    return true;
+                }
+                continue;
+            }
+            // Walk the instant from a local buffer, which the optimizer
+            // can keep out of `self` across the dispatches.
+            let mut batch = std::mem::take(&mut self.batch);
+            {
+                let mut rest = batch.drain(..);
+                while let Some(ev) = rest.next() {
+                    self.batch_pending = rest.len() as u64;
+                    if self.track_state {
+                        self.fold_consumed(Self::event_key(ev.at, &ev.kind), &ev);
+                    }
+                    self.process(ev);
+                    if stop_when(self) {
+                        // Stopped partway through the instant: the rest
+                        // stays pending.
+                        self.batch.extend(rest);
+                        return true;
+                    }
+                }
+            }
+            self.batch = batch;
+        }
+        self.now = self.now.max(until);
         false
     }
 
-    /// Run until no events remain at all — quiescence — or the event
-    /// budget trips. Returns the time of the last processed event.
-    /// Protocols with self-rearming timers never quiesce; use
-    /// [`run_until_time`](World::run_until_time) for those.
-    pub fn run_to_quiescence(&mut self) -> Time {
-        self.ensure_started();
-        while let Some(ev) = self.queue.pop() {
+    /// One step under a non-canonical scheduler: show `sched` every
+    /// event due at the current instant, then fire or force-drop the one
+    /// it picks. The enabled set is `batch` topped up with the
+    /// same-instant events earlier firings scheduled (they carry higher
+    /// seqs, so index 0 stays the canonical pick); `enabled` summarizes
+    /// it index for index.
+    fn choice_point<S: Scheduler + ?Sized>(
+        &mut self,
+        sched: &mut S,
+        enabled: &mut Vec<EnabledEvent>,
+    ) {
+        let Some(t) = self.batch.first().map(|e| e.at) else {
+            return;
+        };
+        self.queue.pop_due_batch(t, &mut self.batch);
+        enabled.extend(self.batch.iter().skip(enabled.len()).map(Self::summarize));
+        let choice = sched.choose(&ChoicePoint {
+            now: t,
+            enabled,
+            crashed: &self.crashed,
+            state_digest: self.track_state.then(|| self.state_digest()),
+        });
+        let (i, fire) = match choice {
+            SchedChoice::Event(i) => (i, true),
+            SchedChoice::Drop(i) => (i, false),
+        };
+        // fd-lint: allow(HP001, reason = "scheduler-input tripwire: an out-of-range choice is a broken Scheduler implementation, not a kernel state")
+        assert!(
+            i < self.batch.len(),
+            "scheduler chose out-of-range event {i}"
+        );
+        let ev = self.batch.remove(i);
+        let key = enabled.remove(i).key;
+        if fire {
+            if self.track_state {
+                self.fold_consumed(key, &ev);
+            }
+            self.batch_pending = self.batch.len() as u64;
             self.process(ev);
+        } else {
+            self.force_drop(key, ev);
         }
-        self.now
+    }
+
+    /// Discard a delivery as a link loss, on a scheduler's
+    /// [`SchedChoice::Drop`]: the receiver never sees it.
+    fn force_drop(&mut self, key: u64, ev: QueuedEvent<A::Msg>) {
+        let EventKind::Deliver { from, to, msg } = &ev.kind else {
+            // fd-lint: allow(HP001, reason = "scheduler-input tripwire: Drop of a non-delivery is a broken Scheduler implementation, not a kernel state")
+            panic!("scheduler Drop choice selected a non-delivery event");
+        };
+        if self.track_state {
+            // A forced drop only removes the message from the pending
+            // set — no process observes it.
+            self.queue_hash = self.queue_hash.wrapping_sub(key);
+        }
+        self.now = ev.at;
+        self.metrics.record_dropped();
+        if self.trace_full() {
+            self.trace.push(
+                ev.at,
+                TraceKind::Dropped {
+                    from: *from,
+                    to: *to,
+                    kind: msg.get().kind(),
+                    reason: DropReason::Link,
+                },
+            );
+        }
     }
 
     /// Consume the world, returning its trace and metrics.
@@ -896,7 +1012,9 @@ impl<A: Actor> World<A> {
 
     /// Take the trace and metrics out of a world that is about to be
     /// [`reset`](World::reset) — the reuse-path twin of
-    /// [`into_results`](World::into_results).
+    /// [`into_results`](World::into_results). Pending events, including
+    /// the rest of an instant a `run_until` stop left behind, stay
+    /// pending until the reset.
     pub fn take_results(&mut self) -> (Trace, Metrics) {
         self.trace_hwm = self.trace_hwm.max(self.trace.len());
         (
@@ -928,6 +1046,7 @@ impl<A: Actor> World<A> {
         self.n = n;
         self.now = Time::ZERO;
         self.queue.reset();
+        self.batch.clear();
         self.actors.clear();
         self.actors.extend((0..n).map(|i| make(ProcessId(i), n)));
         self.rngs.clear();
@@ -1057,29 +1176,30 @@ impl<A: Actor> World<A> {
     /// their outcome is fully determined by state already in the digest.
     fn fold_consumed(&mut self, key: u64, ev: &QueuedEvent<A::Msg>) {
         self.queue_hash = self.queue_hash.wrapping_sub(key);
-        match &ev.kind {
-            EventKind::Deliver { to, .. } => {
-                let i = to.index();
-                if !self.crashed[i] {
-                    let mut h = Fnv::resume(self.proc_hash[i]);
-                    h.u64(key);
-                    self.proc_hash[i] = h.finish();
-                }
-            }
+        let target = match &ev.kind {
+            EventKind::Deliver { to, .. } => to.index(),
             EventKind::Timer { pid, id, epoch, .. } => {
-                let i = pid.index();
                 let cancelled = !self.cancelled.is_empty() && self.cancelled.contains(&id.0);
-                if !cancelled && !self.crashed[i] && self.epochs[i] == *epoch {
-                    let mut h = Fnv::resume(self.proc_hash[i]);
-                    h.u64(key);
-                    self.proc_hash[i] = h.finish();
+                // fd-lint: allow(HP001, reason = "epochs has one entry per process; timer pids are < n by construction")
+                if cancelled || self.epochs[pid.index()] != *epoch {
+                    return;
                 }
+                pid.index()
             }
             EventKind::Crash { .. } | EventKind::Intervention(_) => {
                 let mut h = Fnv::resume(self.env_hash);
                 h.u64(key);
                 self.env_hash = h.finish();
+                return;
             }
+        };
+        // fd-lint: allow(HP001, reason = "crashed has one flag per process; event targets are < n by construction")
+        if !self.crashed[target] {
+            // fd-lint: allow(HP001, reason = "proc_hash has one entry per process; event targets are < n by construction")
+            let slot = &mut self.proc_hash[target];
+            let mut h = Fnv::resume(*slot);
+            h.u64(key);
+            *slot = h.finish();
         }
     }
 
@@ -1119,98 +1239,6 @@ impl<A: Actor> World<A> {
             h.u64(e as u64);
         }
         h.finish()
-    }
-
-    /// Run every event scheduled at or before `until` under an explicit
-    /// [`Scheduler`], then advance the clock to `until`.
-    ///
-    /// This is [`run_until_time`](World::run_until_time) with the one
-    /// hard-coded policy — fire same-instant events in `(time, seq)`
-    /// order — replaced by a choice point: all events due at the current
-    /// earliest instant form the *enabled set*, and the scheduler picks
-    /// which fires next (or force-drops a delivery). After each firing,
-    /// events the handler scheduled for the same instant join the
-    /// enabled set (they carry higher seqs, so the canonical choice of
-    /// index 0 walks the exact global `(time, seq)` order). Driving this
-    /// with [`CanonicalScheduler`](crate::sched::CanonicalScheduler) is
-    /// byte-identical to `run_until_time` — trace, metrics, and gauges.
-    pub fn run_scheduled_until(&mut self, until: Time, sched: &mut dyn Scheduler) {
-        if self.track_state {
-            assert!(
-                self.net.is_rng_free() && self.mangler.is_none(),
-                "state tracking requires an RNG-free network and no mangler: \
-                 shared-stream draws make state hashes schedule-dependent"
-            );
-        }
-        self.ensure_started();
-        let mut batch = std::mem::take(&mut self.batch);
-        let mut enabled: Vec<EnabledEvent> = Vec::new();
-        loop {
-            if batch.is_empty() {
-                enabled.clear();
-                if self.queue.pop_due_batch(until, &mut batch) == 0 {
-                    break;
-                }
-                enabled.extend(batch.iter().map(Self::summarize));
-            }
-            let t = batch[0].at;
-            let choice = {
-                let cp = ChoicePoint {
-                    now: t,
-                    enabled: &enabled,
-                    crashed: &self.crashed,
-                    state_digest: self.track_state.then(|| self.state_digest()),
-                };
-                sched.choose(&cp)
-            };
-            match choice {
-                SchedChoice::Event(i) => {
-                    assert!(i < batch.len(), "scheduler chose out-of-range event {i}");
-                    let ev = batch.remove(i);
-                    let info = enabled.remove(i);
-                    if self.track_state {
-                        self.fold_consumed(info.key, &ev);
-                    }
-                    self.batch_pending = batch.len() as u64;
-                    self.process(ev);
-                    // Newly scheduled same-instant events join the
-                    // enabled set; nothing earlier than `t` can exist,
-                    // so this drains exactly the instant's arrivals.
-                    let before = batch.len();
-                    self.queue.pop_due_batch(t, &mut batch);
-                    enabled.extend(batch[before..].iter().map(Self::summarize));
-                }
-                SchedChoice::Drop(i) => {
-                    assert!(i < batch.len(), "scheduler chose out-of-range drop {i}");
-                    let ev = batch.remove(i);
-                    let info = enabled.remove(i);
-                    let EventKind::Deliver { from, to, msg } = &ev.kind else {
-                        panic!("scheduler Drop choice selected a non-delivery event");
-                    };
-                    if self.track_state {
-                        // A forced drop only removes the message from
-                        // the pending set — no process observes it.
-                        self.queue_hash = self.queue_hash.wrapping_sub(info.key);
-                    }
-                    self.now = t;
-                    self.metrics.record_dropped();
-                    if self.trace_full() {
-                        self.trace.push(
-                            t,
-                            TraceKind::Dropped {
-                                from: *from,
-                                to: *to,
-                                kind: msg.get().kind(),
-                                reason: DropReason::Link,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        self.batch_pending = 0;
-        self.batch = batch;
-        self.now = self.now.max(until);
     }
 }
 
@@ -1445,31 +1473,94 @@ mod tests {
         assert!(registry.histogram(fd_obs::keys::SIM_CALLBACK_NS).count() > 0);
     }
 
-    /// The batched `run_until_time` loop must be indistinguishable from
-    /// a one-event-at-a-time `step` loop: same trace bytes, same
-    /// metrics, same final clock.
-    #[test]
-    fn batched_run_matches_step_loop() {
-        let mut batched = two_node_world(17);
-        let mut stepped = two_node_world(17);
-        let until = Time::from_millis(80);
-        batched.run_until_time(until);
-        stepped.ensure_started();
-        loop {
-            match stepped.queue.peek_time() {
-                Some(t) if t <= until => {
-                    stepped.step();
-                }
-                _ => break,
+    /// Every process broadcasts a beat every 2 ms, so each delivery
+    /// instant carries n·(n−1) same-instant events. A process built with
+    /// `poke_at: Some(k)` runs [`poke`] itself right after its k-th
+    /// receipt — the uninterrupted twin of a harness `interact` at that
+    /// point.
+    struct Gossip {
+        seen: u64,
+        poke_at: Option<u64>,
+    }
+
+    const T_BEAT: TimerTag = TimerTag::new(0, 0, 0);
+    const T_POKE: TimerTag = TimerTag::new(0, 1, 0);
+
+    /// A same-instant timer plus a send: the timer lands after the rest
+    /// of the current instant, so resuming in the wrong order shows.
+    fn poke(_: &mut Gossip, ctx: &mut Context<'_, Pp>) {
+        ctx.set_timer(SimDuration::ZERO, T_POKE);
+        ctx.send(ProcessId(3), Pp::Pong);
+    }
+
+    impl Actor for Gossip {
+        type Msg = Pp;
+        fn on_start(&mut self, ctx: &mut Context<'_, Pp>) {
+            ctx.set_timer(SimDuration::from_millis(2), T_BEAT);
+        }
+        fn on_message(&mut self, ctx: &mut Context<'_, Pp>, _: ProcessId, _: Pp) {
+            self.seen += 1;
+            if self.poke_at == Some(self.seen) {
+                poke(self, ctx);
             }
         }
-        stepped.now = stepped.now.max(until);
-        assert_eq!(batched.trace().digest(), stepped.trace().digest());
+        fn on_timer(&mut self, ctx: &mut Context<'_, Pp>, tag: TimerTag) {
+            if tag == T_POKE {
+                ctx.send(ProcessId(0), Pp::Ping);
+            } else {
+                ctx.send_to_others(Pp::Ping);
+                ctx.set_timer(SimDuration::from_millis(2), T_BEAT);
+            }
+        }
+    }
+
+    fn gossip_world(poke_at: Option<u64>) -> World<Gossip> {
+        let net = NetworkConfig::new(4)
+            .with_default(LinkModel::reliable_const(SimDuration::from_millis(1)));
+        WorldBuilder::new(net)
+            .seed(5)
+            .track_state(true)
+            .build(|pid, _| Gossip {
+                seen: 0,
+                poke_at: (pid == ProcessId(2)).then_some(poke_at).flatten(),
+            })
+    }
+
+    /// A `run_until` stop partway through an instant leaves the rest of
+    /// the instant pending; an `interact` there and a resumed run must
+    /// equal an uninterrupted run that does the same thing at the same
+    /// point — same trace, event count, clock and state digest.
+    #[test]
+    fn mid_instant_stop_resumes_like_an_uninterrupted_run() {
+        let k = 4;
+        let until = Time::from_millis(20);
+        let mut stopped = gossip_world(None);
+        let hit = stopped.run_until(until, |w| w.actor(ProcessId(2)).seen == k);
+        assert!(hit);
+        // p2's 4th beat is the 2nd delivery of the 12 due at 5 ms.
+        assert_eq!(stopped.now(), Time::from_millis(5));
+        assert_eq!(stopped.batch.len(), 10, "stopped mid-instant");
+        // An earlier horizon leaves the rest of the instant pending.
+        stopped.run_until_time(Time::from_millis(4));
+        assert_eq!(stopped.batch.len(), 10);
+        stopped.interact(ProcessId(2), poke);
+        stopped.run_until_time(until);
+
+        let mut straight = gossip_world(Some(k));
+        straight.run_until_time(until);
+
+        assert_eq!(stopped.trace().digest(), straight.trace().digest());
         assert_eq!(
-            batched.metrics().events_processed(),
-            stepped.metrics().events_processed()
+            stopped.metrics().events_processed(),
+            straight.metrics().events_processed()
         );
-        assert_eq!(batched.now(), stepped.now());
+        assert_eq!(stopped.now(), straight.now());
+        assert_eq!(stopped.state_digest(), straight.state_digest());
+        assert_eq!(
+            stopped.metrics().sent_of_kind("pong"),
+            1,
+            "the poke ran once"
+        );
     }
 
     /// `ObsOnly` keeps observations and crashes — everything the class
@@ -1900,6 +1991,38 @@ mod sched_tests {
         assert_eq!(tracked.trace().digest(), plain.trace().digest());
     }
 
+    /// Every entry point maintains the state digest the same way:
+    /// consumed events leave the pending multiset whichever path fired
+    /// them, so the canonical fast path, a `run_until` and a scheduler
+    /// consulted at every choice point all end in one digest.
+    #[test]
+    fn every_entry_point_tracks_the_same_state_digest() {
+        let until = Time::from_millis(80);
+        let tracked = || {
+            let net = NetworkConfig::new(2)
+                .with_default(LinkModel::reliable_const(SimDuration::from_millis(1)));
+            WorldBuilder::new(net)
+                .seed(17)
+                .track_state(true)
+                .build(|_, _| super::tests::PingPong {
+                    pings_seen: 0,
+                    pongs_seen: 0,
+                })
+        };
+        let mut plain = tracked();
+        plain.run_until_time(until);
+        let mut pred = tracked();
+        assert!(!pred.run_until(until, |_| false));
+        let mut canonical = tracked();
+        canonical.run_scheduled_until(until, &mut CanonicalScheduler);
+        let mut consulted = tracked();
+        consulted.run_scheduled_until(until, &mut Script::new(Vec::new()));
+        for w in [&pred, &canonical, &consulted] {
+            assert_eq!(w.trace().digest(), plain.trace().digest());
+            assert_eq!(w.state_digest(), plain.state_digest());
+        }
+    }
+
     /// Drops the first enabled delivery it sees, then runs canonically.
     struct DropFirstDeliver {
         dropped: bool,
@@ -2028,6 +2151,18 @@ mod sched_tests {
         ));
         let mut w = WorldBuilder::new(net).track_state(true).build(|_, _| Fan);
         w.run_scheduled_until(Time::from_millis(5), &mut CanonicalScheduler);
+    }
+
+    /// The same guard holds on the plain entry point.
+    #[test]
+    #[should_panic(expected = "state tracking requires an RNG-free network")]
+    fn tracked_run_until_time_rejects_random_networks() {
+        let net = NetworkConfig::new(2).with_default(LinkModel::reliable_uniform(
+            SimDuration::from_millis(1),
+            SimDuration::from_millis(4),
+        ));
+        let mut w = WorldBuilder::new(net).track_state(true).build(|_, _| Fan);
+        w.run_until_time(Time::from_millis(5));
     }
 }
 

@@ -42,8 +42,7 @@ USAGE:
   ecfd campaign  --plan FILE [--scenario chaos|kv] [--seeds A..B] [--jobs N]
                  [--artifact-dir DIR]
   ecfd campaign  --replay FILE [--shrink] [--metrics-out FILE]
-  ecfd bench-kernel [--seeds N] [--out FILE] [--micro-out FILE]
-                 [--check BASELINE] [--threshold PCT]
+  ecfd bench-kernel [--seeds N] [--out FILE] [--check BASELINE] [--threshold PCT]
   ecfd bench-scale [--n N ...] [--seeds N] [--out FILE]
                  [--check BASELINE] [--threshold PCT]
   ecfd kv-bench  [--seeds N] [--out FILE]
@@ -106,8 +105,6 @@ BENCH-KERNEL OPTIONS:
   --seeds N         seeds in the E8 throughput sweep (default 1000)
   --out FILE        write the kernel benchmark JSON to FILE
                     (same shape as the committed BENCH_kernel.json)
-  --micro-out FILE  write the microbenchmark suite JSON to FILE
-                    (default: BENCH_micro.json next to --out)
   --check BASELINE  compare events_per_sec against a baseline
                     BENCH_kernel.json; exit nonzero on regression
   --threshold PCT   allowed events_per_sec drop vs baseline, percent
@@ -705,7 +702,6 @@ fn cmd_obs_report(rest: &[String]) -> Result<(), String> {
 struct BenchArgs {
     seeds: u64,
     out: Option<String>,
-    micro_out: Option<String>,
     check: Option<String>,
     threshold: f64,
 }
@@ -714,7 +710,6 @@ fn parse_bench_args(argv: &[String]) -> Result<BenchArgs, String> {
     let mut a = BenchArgs {
         seeds: 1000,
         out: None,
-        micro_out: None,
         check: None,
         threshold: 25.0,
     };
@@ -729,7 +724,6 @@ fn parse_bench_args(argv: &[String]) -> Result<BenchArgs, String> {
                 }
             }
             "--out" => a.out = Some(take()?.clone()),
-            "--micro-out" => a.micro_out = Some(take()?.clone()),
             "--check" => a.check = Some(take()?.clone()),
             "--threshold" => {
                 a.threshold = take()?.parse().map_err(|e| format!("--threshold: {e}"))?;
@@ -743,9 +737,8 @@ fn parse_bench_args(argv: &[String]) -> Result<BenchArgs, String> {
     Ok(a)
 }
 
-/// Run the kernel throughput benchmark plus the microbenchmark suite,
-/// optionally writing both JSON files and gating against a committed
-/// baseline (the CI perf-smoke job runs this with `--check`).
+/// Run the kernel throughput benchmark, optionally writing its JSON and
+/// gating against a committed baseline (the CI perf-smoke job runs this with `--check`).
 fn cmd_bench_kernel(rest: &[String]) -> Result<(), String> {
     let a = parse_bench_args(rest)?;
     println!("bench-kernel: e8 sweep over {} seeds …", a.seeds);
@@ -766,31 +759,9 @@ fn cmd_bench_kernel(rest: &[String]) -> Result<(), String> {
     if let Some(ape) = bench.field("allocs_per_event").as_f64() {
         println!("kernel: {ape:.2} heap allocations per event");
     }
-    let micro = fd_bench::micro::micro_bench();
-    if let serde::Value::Arr(rows) = micro.field("entries") {
-        for row in rows {
-            println!(
-                "micro: {:<28} {:>8.1} ns/op  ({:.0} ops/s)",
-                row.field("id").as_str().unwrap_or("?"),
-                row.field("ns_per_op").as_f64().unwrap_or(0.0),
-                row.field("ops_per_sec").as_f64().unwrap_or(0.0),
-            );
-        }
-    }
     if let Some(path) = &a.out {
         write_json(path, &bench)?;
         println!("kernel json: {path}");
-        let micro_path = a.micro_out.clone().unwrap_or_else(|| {
-            std::path::Path::new(path)
-                .with_file_name("BENCH_micro.json")
-                .display()
-                .to_string()
-        });
-        write_json(&micro_path, &micro)?;
-        println!("micro json: {micro_path}");
-    } else if let Some(micro_path) = &a.micro_out {
-        write_json(micro_path, &micro)?;
-        println!("micro json: {micro_path}");
     }
     if let Some(baseline_path) = &a.check {
         let text =

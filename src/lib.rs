@@ -38,7 +38,6 @@
 //! | [`detectors`] | heartbeat ◇P, ring ◇S, candidate Ω/◇C, ◇C→◇P, ◇W→◇S, fused stack |
 //! | [`broadcast`] | Reliable / Uniform Reliable Broadcast |
 //! | [`consensus`] | ◇C consensus + CT ◇S + MR Ω protocols, nodes, scenario harness |
-//! | [`runtime`] | threaded wall-clock executor for the same actors |
 //! | [`campaign`] | parallel seed sweeps, property monitors, repro artifacts, shrinking |
 //! | [`chaos`] | declarative fault schedules (partitions, churn, mangling) compiled to kernel interventions |
 //! | [`kv`] | durable replicated KV service on the consensus log: WAL, snapshots, crash catch-up |
@@ -59,7 +58,6 @@ pub use fd_detectors as detectors;
 pub use fd_kv as kv;
 pub use fd_mc as mc;
 pub use fd_obs as obs;
-pub use fd_runtime as runtime;
 pub use fd_sim as sim;
 
 /// One-stop imports for examples and applications.
