@@ -239,23 +239,14 @@ impl ProcessSet {
         }
     }
 
-    /// Iterate members in identity order.
-    pub fn iter(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        let words = self.word_len();
-        let mut w = 0usize;
-        let mut cur = self.word(0);
-        std::iter::from_fn(move || loop {
-            if cur != 0 {
-                let i = cur.trailing_zeros() as usize;
-                cur &= cur - 1;
-                return Some(ProcessId(w * WORD_BITS + i));
-            }
-            w += 1;
-            if w >= words {
-                return None;
-            }
-            cur = self.word(w);
-        })
+    /// Iterate members in identity order. The size hint is exact, so
+    /// `collect` and `extend` reserve once.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = ProcessId> + '_ {
+        Members {
+            set: self,
+            w: 0,
+            cur: self.word(0),
+        }
     }
 
     /// `self ⊆ other`.
@@ -274,9 +265,13 @@ impl ProcessSet {
         ProcessSet::full(n) - self
     }
 
-    /// Members as a sorted `Vec` (for trace payloads).
+    /// Members as a sorted `Vec` (for trace payloads), allocated at
+    /// exactly `len()` capacity: emitted suspect sets are kept by the
+    /// trace, so growth slack would be kept with them.
     pub fn to_vec(&self) -> Vec<ProcessId> {
-        self.iter().collect()
+        let mut v = Vec::with_capacity(self.len());
+        v.extend(self.iter());
+        v
     }
 
     /// Wordwise combination with the small/small fast path; collapses a
@@ -308,6 +303,44 @@ impl ProcessSet {
         ProcessSet { repr: Repr::Big(v) }
     }
 }
+
+/// The iterator behind [`ProcessSet::iter`]: word `w` of `set` has the
+/// members still to yield in `cur`, every later word is untouched.
+struct Members<'a> {
+    set: &'a ProcessSet,
+    w: usize,
+    cur: u64,
+}
+
+impl Iterator for Members<'_> {
+    type Item = ProcessId;
+
+    fn next(&mut self) -> Option<ProcessId> {
+        loop {
+            if self.cur != 0 {
+                let i = self.cur.trailing_zeros() as usize;
+                self.cur &= self.cur - 1;
+                return Some(ProcessId(self.w * WORD_BITS + i));
+            }
+            if self.w + 1 >= self.set.word_len() {
+                return None;
+            }
+            self.w += 1;
+            self.cur = self.set.word(self.w);
+        }
+    }
+
+    /// Exact: a popcount of what is left.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let later: usize = (self.w + 1..self.set.word_len())
+            .map(|i| self.set.word(i).count_ones() as usize)
+            .sum();
+        let left = self.cur.count_ones() as usize + later;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Members<'_> {}
 
 macro_rules! impl_set_op {
     ($trait:ident, $method:ident, $f:expr) => {
@@ -598,6 +631,58 @@ mod tests {
         // the fast path keeps serving subsequent algebra.
         let collapsed = &spilled | &set(&[4]);
         assert!(matches!(collapsed.repr, Repr::Small(_)));
+    }
+
+    /// `iter` reports its exact length before and during iteration, and
+    /// `to_vec` allocates exactly once at that length.
+    fn assert_exact_snapshot(s: &ProcessSet) {
+        let len = s.len();
+        assert_eq!(s.iter().size_hint(), (len, Some(len)), "{s}");
+        assert_eq!(s.iter().len(), len, "{s}");
+        let mut it = s.iter();
+        for left in (0..len).rev() {
+            assert!(it.next().is_some());
+            assert_eq!(it.size_hint(), (left, Some(left)), "{s}");
+        }
+        assert_eq!(it.next(), None);
+        assert_eq!(it.size_hint(), (0, Some(0)));
+        let v = s.to_vec();
+        assert_eq!(v.len(), len);
+        assert_eq!(v.capacity(), len, "{s}");
+        assert_eq!(v, s.iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn snapshots_are_exact_size() {
+        assert_exact_snapshot(&ProcessSet::new());
+        assert_exact_snapshot(&set(&[5]));
+        assert_exact_snapshot(&set(&[0, 1, 2, 63, 64, 127]));
+        assert_exact_snapshot(&ProcessSet::full(INLINE_PROCESSES));
+        assert_exact_snapshot(&set(&[128]));
+        assert_exact_snapshot(&set(&[3, 127, 128, 300, 4095]));
+        assert_exact_snapshot(&ProcessSet::full(1000));
+        // Spilled, then emptied: trailing zero words count for nothing.
+        let mut drained = set(&[7, 900]);
+        drained.remove(ProcessId(7));
+        drained.remove(ProcessId(900));
+        assert_exact_snapshot(&drained);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn random_snapshots_are_exact_size(
+            ids in proptest::prop::collection::vec(0usize..600, 0..80),
+        ) {
+            let s = set(&ids);
+            assert_exact_snapshot(&s);
+            let mut sorted = ids.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            let want: Vec<ProcessId> = sorted.into_iter().map(ProcessId).collect();
+            proptest::prop_assert_eq!(s.to_vec(), want);
+        }
     }
 
     #[test]

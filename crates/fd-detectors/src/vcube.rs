@@ -103,10 +103,10 @@ pub struct VCubeDetector {
     /// Outstanding tests: `(target, deadline)`. At most `2·dim` entries —
     /// scanned, not indexed, so the per-round cost stays `O(log n)`.
     outstanding: Vec<(ProcessId, Time)>,
-    /// Recent news to share in acks: `(pid, ts, round_added)`. Entries
-    /// retire after `dim + 2` rounds; receivers re-share what they learn,
-    /// so retention only needs to cover one dissemination hop.
-    news: Vec<(ProcessId, u64, u64)>,
+    /// Recent news to share in acks. Entries retire after `dim + 2`
+    /// rounds; receivers re-share what they learn, so retention only
+    /// needs to cover one dissemination hop.
+    news: News,
     /// Testing rounds completed (drives news retirement).
     round: u64,
     /// Suspect-set changed since the last observation was emitted.
@@ -131,7 +131,7 @@ impl VCubeDetector {
             suspected: ProcessSet::new(),
             timeouts,
             outstanding: Vec::new(),
-            news: Vec::new(),
+            news: News::new(n, dim),
             round: 0,
             dirty: false,
         }
@@ -185,41 +185,11 @@ impl VCubeDetector {
         }
     }
 
-    /// Hard cap on news entries: retention bounds *age*, this bounds
-    /// *churn*. Under heavy pre-GST loss every peer can generate events
-    /// every round; without a cap the buffer grows `O(n)`, every ack
-    /// carries it, and every `push_news` scan makes receipt `O(n²)` —
-    /// measured as a ~100× event-rate collapse at n = 1024 lossy.
-    /// Dropping the stalest entries is safe: dissemination is a
-    /// gossip *optimization* over re-sharing; anything dropped is
-    /// re-learned by direct testing or a later ack.
-    fn news_cap(&self) -> usize {
-        4 * self.dim + 8
-    }
-
     /// (Re-)share `j`'s current timestamp in upcoming acks.
     fn push_news(&mut self, j: ProcessId) {
         // fd-lint: allow(HP001, reason = "ts has one slot per process; pid index < n by construction")
         let t = self.ts[j.index()];
-        match self.news.iter_mut().find(|(p, _, _)| *p == j) {
-            Some(entry) => {
-                entry.1 = t;
-                entry.2 = self.round;
-            }
-            None => {
-                if self.news.len() >= self.news_cap() {
-                    // Evict the stalest entry (oldest round, then lowest
-                    // pid for determinism) to stay within the cap.
-                    if let Some(idx) = (0..self.news.len())
-                        // fd-lint: allow(HP001, reason = "i ranges over 0..news.len() in the eviction scan")
-                        .min_by_key(|&i| (self.news[i].2, self.news[i].0.index()))
-                    {
-                        self.news.swap_remove(idx);
-                    }
-                }
-                self.news.push((j, t, self.round));
-            }
-        }
+        self.news.share(j, t, self.round);
     }
 
     /// Merge one news entry `(p, t)` learned from a peer's ack.
@@ -281,11 +251,13 @@ impl VCubeDetector {
                 self.outstanding.push((q, now + self.timeouts.get(q)));
             }
         }
+        self.advance_round();
+    }
+
+    /// Close a testing round: count it and retire the news it aged out.
+    fn advance_round(&mut self) {
         self.round += 1;
-        let retention = self.dim as u64 + 2;
-        let round = self.round;
-        self.news
-            .retain(|&(_, _, added)| round - added <= retention);
+        self.news.retire(self.round, self.dim as u64 + 2);
     }
 
     fn emit_if_dirty<N: SimMessage>(&mut self, ctx: &mut SubCtx<'_, '_, N, VCubeMsg>) {
@@ -297,6 +269,156 @@ impl VCubeDetector {
                 Payload::Pids(self.suspected.to_vec()),
             );
         }
+    }
+}
+
+/// Hard cap on news entries: retention bounds *age*, this bounds
+/// *churn*. Under heavy pre-GST loss every peer can generate events
+/// every round; without a cap the buffer grows `O(n)` and every ack
+/// carries it, so each ack costs `O(n)` to copy and merge — `O(n²·log n)`
+/// work per round across the system instead of `O(n·log² n)`, measured
+/// as a ~100× event-rate collapse at n = 1024 lossy.
+/// Dropping the stalest entries is safe: dissemination is a gossip
+/// *optimization* over re-sharing; anything dropped is re-learned by
+/// direct testing or a later ack.
+fn news_cap(dim: usize) -> usize {
+    4 * dim + 8
+}
+
+/// The news buffer: at most [`news_cap`] entries, one per process, in
+/// *share order* — the order an ack carries them in. That order is
+/// behaviour, not layout: a receiver merges an ack's news in order and
+/// evicts by it, so `share` updates an entry in place or appends (after
+/// a `swap_remove` eviction of the stalest entry when full), and
+/// `retire` keeps the survivors' order.
+///
+/// Under loss most merged ack entries are re-shared and most of those
+/// evict, so neither finding an entry nor finding the stalest one scans
+/// tuples: once the buffer has filled, `slot` maps a pid to its
+/// position, and the stalest entry is the minimum of a contiguous `u64`
+/// key array.
+#[derive(Debug)]
+struct News {
+    /// `(pid, ts)` in share order; an ack carries a copy of exactly this.
+    entries: Vec<(ProcessId, u64)>,
+    /// Parallel to `entries`: `round_added << dim | pid`, so the smallest
+    /// key is the stalest entry — oldest round, then lowest pid. Exact
+    /// while `round < 2^(64 − dim)`: 2^51 rounds at n = 8192.
+    keys: Vec<u64>,
+    /// `slot[pid]` = 1 + the position of `pid`'s entry, 0 when absent.
+    /// Empty until the buffer first fills; until then `position` scans
+    /// the few entries. A detector whose buffer never fills (any stable
+    /// world, crashes included) never allocates the `n` slots, and a
+    /// world build never pays for them.
+    slot: Vec<u16>,
+    /// System size: the length `slot` gets when built.
+    n: usize,
+    /// `⌈log₂ n⌉`: every pid fits below bit `dim` of a key.
+    dim: usize,
+}
+
+impl News {
+    fn new(n: usize, dim: usize) -> News {
+        debug_assert!(news_cap(dim) < usize::from(u16::MAX));
+        News {
+            entries: Vec::new(),
+            keys: Vec::new(),
+            slot: Vec::new(),
+            n,
+            dim,
+        }
+    }
+
+    /// The position of `j`'s entry, if it has one.
+    fn position(&self, j: ProcessId) -> Option<usize> {
+        if self.slot.is_empty() {
+            return self.entries.iter().position(|&(p, _)| p == j);
+        }
+        match self.slot.get(j.index()) {
+            Some(&s) if s > 0 => Some(usize::from(s) - 1),
+            _ => None,
+        }
+    }
+
+    /// Share timestamp `t` for `j`, learned in `round`.
+    fn share(&mut self, j: ProcessId, t: u64, round: u64) {
+        debug_assert!(
+            j.index() < self.n,
+            "news about {j} in a system of {}",
+            self.n
+        );
+        debug_assert!(
+            round.leading_zeros() as usize >= self.dim,
+            "round {round} overflows the key"
+        );
+        let key = (round << self.dim) | j.index() as u64;
+        if let Some(at) = self.position(j) {
+            if let (Some(entry), Some(k)) = (self.entries.get_mut(at), self.keys.get_mut(at)) {
+                entry.1 = t;
+                *k = key;
+            }
+            return;
+        }
+        if self.entries.len() >= news_cap(self.dim) {
+            if self.slot.is_empty() {
+                // fd-lint: allow(HP002, reason = "once per detector, when its buffer first fills; built in new() or on the first news it costs every world build n slots per process")
+                self.slot = vec![0; self.n];
+                for (at, &(p, _)) in self.entries.iter().enumerate() {
+                    set_slot(&mut self.slot, p, Some(at));
+                }
+            }
+            self.evict_stalest();
+        }
+        self.entries.push((j, t));
+        self.keys.push(key);
+        set_slot(&mut self.slot, j, Some(self.entries.len() - 1));
+    }
+
+    /// `swap_remove` the entry with the smallest key.
+    fn evict_stalest(&mut self) {
+        let Some(&min) = self.keys.iter().min() else {
+            return;
+        };
+        let stalest = ProcessId((min & ((1u64 << self.dim) - 1)) as usize);
+        let Some(at) = self.position(stalest) else {
+            return;
+        };
+        self.entries.swap_remove(at);
+        self.keys.swap_remove(at);
+        set_slot(&mut self.slot, stalest, None);
+        if let Some(&(moved, _)) = self.entries.get(at) {
+            set_slot(&mut self.slot, moved, Some(at));
+        }
+    }
+
+    /// Drop the entries added more than `retention` rounds before
+    /// `round`, keeping the survivors in order.
+    fn retire(&mut self, round: u64, retention: u64) {
+        let dim = self.dim;
+        let live = |key: u64| round - (key >> dim) <= retention;
+        if self.keys.iter().all(|&k| live(k)) {
+            return;
+        }
+        let (mut keys, slot) = (self.keys.iter(), &mut self.slot);
+        self.entries.retain(|&(p, _)| {
+            let keep = keys.next().is_some_and(|&k| live(k));
+            if !keep {
+                set_slot(slot, p, None);
+            }
+            keep
+        });
+        self.keys.retain(|&k| live(k));
+        for (at, &(p, _)) in self.entries.iter().enumerate() {
+            set_slot(&mut self.slot, p, Some(at));
+        }
+    }
+}
+
+/// Point `j`'s slot at position `at` (`None`: no entry).
+fn set_slot(slot: &mut [u16], j: ProcessId, at: Option<usize>) {
+    if let Some(s) = slot.get_mut(j.index()) {
+        // `at < news_cap`, far below `u16::MAX` (asserted in `News::new`).
+        *s = at.map_or(0, |at| (at + 1) as u16);
     }
 }
 
@@ -330,9 +452,8 @@ impl Component for VCubeDetector {
             VCubeMsg::Test => {
                 // A test is proof of life; answer with our recent news.
                 self.mark_up(from);
-                let news: Vec<(ProcessId, u64)> =
-                    // fd-lint: allow(HP002, reason = "one news snapshot per test ack, paced by the test round timer")
-                    self.news.iter().map(|&(p, t, _)| (p, t)).collect();
+                // fd-lint: allow(HP002, reason = "one news snapshot per test ack, paced by the test round timer")
+                let news = self.news.entries.clone();
                 ctx.send(from, VCubeMsg::Ack { news });
             }
             VCubeMsg::Ack { news } => {
@@ -367,6 +488,7 @@ mod tests {
     use super::*;
     use fd_core::{FdClass, FdRun, Standalone};
     use fd_sim::{LinkModel, NetworkConfig, WorldBuilder};
+    use proptest::prelude::*;
 
     fn run_world(
         n: usize,
@@ -495,6 +617,153 @@ mod tests {
             total < heartbeat_equiv,
             "vCube {total} ≥ heartbeat {heartbeat_equiv}"
         );
+    }
+
+    /// The scan-based news buffer [`News`] replaced, kept as its
+    /// reference model: `push` finds an entry by linear scan and, when
+    /// full, `swap_remove`s the `(round, pid)`-smallest; `retire` is a
+    /// `retain`.
+    #[derive(Debug, Default)]
+    struct ScanNews {
+        /// `(pid, ts, round_added)` in share order.
+        entries: Vec<(ProcessId, u64, u64)>,
+        /// Whether the buffer has ever been full (and evicted).
+        filled: bool,
+    }
+
+    impl ScanNews {
+        fn push(&mut self, cap: usize, j: ProcessId, t: u64, round: u64) {
+            match self.entries.iter_mut().find(|(p, _, _)| *p == j) {
+                Some(entry) => {
+                    entry.1 = t;
+                    entry.2 = round;
+                }
+                None => {
+                    if self.entries.len() >= cap {
+                        self.filled = true;
+                        if let Some(idx) = (0..self.entries.len())
+                            .min_by_key(|&i| (self.entries[i].2, self.entries[i].0.index()))
+                        {
+                            self.entries.swap_remove(idx);
+                        }
+                    }
+                    self.entries.push((j, t, round));
+                }
+            }
+        }
+
+        fn retire(&mut self, round: u64, retention: u64) {
+            self.entries
+                .retain(|&(_, _, added)| round - added <= retention);
+        }
+    }
+
+    /// `news` holds the model's entries in the model's order, and its
+    /// keys and slot index agree with them.
+    fn check_news(news: &News, model: &ScanNews) -> Result<(), TestCaseError> {
+        let entries: Vec<(ProcessId, u64)> =
+            model.entries.iter().map(|&(p, t, _)| (p, t)).collect();
+        prop_assert_eq!(&news.entries, &entries);
+        let keys: Vec<u64> = model
+            .entries
+            .iter()
+            .map(|&(p, _, round)| (round << news.dim) | p.index() as u64)
+            .collect();
+        prop_assert_eq!(&news.keys, &keys);
+        let want_len = if model.filled { news.n } else { 0 };
+        prop_assert_eq!(
+            news.slot.len(),
+            want_len,
+            "slot index built at the first fill"
+        );
+        for pid in (0..news.n).map(ProcessId) {
+            let want = model.entries.iter().position(|&(p, _, _)| p == pid);
+            prop_assert_eq!(news.position(pid), want, "slot of {}", pid);
+        }
+        Ok(())
+    }
+
+    /// One detector-level step of the differential test.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// A local timeout on a peer (`mark_down`).
+        Down(usize),
+        /// Direct evidence a peer is alive (`mark_up`).
+        Up(usize),
+        /// An ack's news, merged entry by entry.
+        Merge(Vec<(usize, u64)>),
+        /// The end of a testing round (`advance_round`).
+        Advance,
+    }
+
+    fn op(n: usize) -> impl Strategy<Value = Op> {
+        (
+            0u8..10,
+            0..n,
+            prop::collection::vec((0..n, 0u64..24), 0..16),
+        )
+            .prop_map(|(kind, p, news)| match kind {
+                0..=2 => Op::Down(p),
+                3..=4 => Op::Up(p),
+                5..=7 => Op::Merge(news),
+                _ => Op::Advance,
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The indexed news buffer behaves exactly like the scan it
+        /// replaced, order included, under random down/up/merge/round
+        /// sequences at n up to 300 — suspect sets spill past the inline
+        /// 128, and buffers both stay below `news_cap` (scanned) and fill
+        /// and evict (indexed from the first fill on). A push happens
+        /// exactly when an op moves the pid's timestamp, so that is when
+        /// the model pushes.
+        #[test]
+        fn news_buffer_matches_the_scan_model(
+            (n, me, ops) in (2usize..=300).prop_flat_map(|n| {
+                (Just(n), 0..n, prop::collection::vec(op(n), 0..160))
+            }),
+        ) {
+            let mut d = VCubeDetector::new(ProcessId(me), n, VCubeConfig::default());
+            prop_assert!(d.news.slot.is_empty(), "slot index allocated eagerly");
+            let retention = d.dim as u64 + 2;
+            let mut model = ScanNews::default();
+            for op in ops {
+                match op {
+                    Op::Down(p) if p != me => mirror(&mut d, &mut model, p, |d| d.mark_down(ProcessId(p)))?,
+                    Op::Up(p) if p != me => mirror(&mut d, &mut model, p, |d| d.mark_up(ProcessId(p)))?,
+                    Op::Down(_) | Op::Up(_) => {}
+                    Op::Merge(news) => {
+                        for (p, t) in news {
+                            mirror(&mut d, &mut model, p, |d| d.merge_news(ProcessId(p), t))?;
+                        }
+                    }
+                    Op::Advance => {
+                        d.advance_round();
+                        model.retire(d.round, retention);
+                        check_news(&d.news, &model)?;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Apply `act` about `p` to `d`, mirror the push it made (if any)
+    /// into `model`, and compare the two buffers.
+    fn mirror(
+        d: &mut VCubeDetector,
+        model: &mut ScanNews,
+        p: usize,
+        act: impl FnOnce(&mut VCubeDetector),
+    ) -> Result<(), TestCaseError> {
+        let before = d.ts[p];
+        act(d);
+        if d.ts[p] != before {
+            model.push(news_cap(d.dim), ProcessId(p), d.ts[p], d.round);
+        }
+        check_news(&d.news, model)
     }
 
     /// Dissemination, not just direct testing: with n = 32 only the 5
